@@ -23,6 +23,8 @@ const (
 	mSnapPublished = "rkm_graph_snapshot_published_total"
 	mSnapReads     = "rkm_graph_snapshot_reads_total"
 	mSnapCloned    = "rkm_graph_snapshot_cow_records_total"
+	mCOWMapClones  = "rkm_graph_cow_map_clones_total"
+	mCOWMapEntries = "rkm_graph_cow_map_cloned_entries_total"
 
 	mRuleFired     = "rkm_trigger_rule_fired_total"
 	mGuardRejected = "rkm_trigger_guard_rejected_total"
@@ -183,6 +185,10 @@ func (kb *KnowledgeBase) storeMetrics() graph.Metrics {
 			"Read-only transactions served lock-free from a published snapshot."),
 		RecordsCloned: reg.Counter(mSnapCloned,
 			"Node and relationship records cloned copy-on-write by write transactions."),
+		COWMapClones: reg.Counter(mCOWMapClones,
+			"Whole maps copied copy-on-write by write transactions (first touch only)."),
+		COWMapClonedEntries: reg.Counter(mCOWMapEntries,
+			"Entries held by the maps write transactions copied copy-on-write."),
 	}
 }
 

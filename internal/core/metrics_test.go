@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/trigger"
 	"repro/internal/wal"
@@ -182,5 +183,38 @@ func TestMetricsSummaryRollover(t *testing.T) {
 	}
 	if got := counterValue(reg, mChainLength, ""); got < 1 {
 		t.Errorf("chain length = %v, want >= 1", got)
+	}
+}
+
+// TestMetricsCOWMapClones checks the copy-on-write map counters are wired
+// on both knowledge-base types: every commit copies at least the node table
+// it writes, and the copies hold the nodes already there.
+func TestMetricsCOWMapClones(t *testing.T) {
+	kb, _ := newSimKB(t)
+	for i := 0; i < 3; i++ {
+		exec(t, kb, "CREATE (:Mutation {id: 'M'})")
+	}
+	if got := counterValue(kb.Metrics(), mCOWMapClones, ""); got < 3 {
+		t.Errorf("in-memory KB: map clones = %v, want >= 3", got)
+	}
+	// The node tables copied by the 2nd and 3rd commits held 1 and 2 nodes.
+	if got := counterValue(kb.Metrics(), mCOWMapEntries, ""); got < 3 {
+		t.Errorf("in-memory KB: cloned entries = %v, want >= 3", got)
+	}
+
+	skb := newShardedKB(t)
+	for i := 0; i < 3; i++ {
+		if _, err := skb.UpdateInHub("A", func(tx *graph.Tx) error {
+			_, err := tx.CreateNode([]string{"Lab"}, nil)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counterValue(skb.Metrics(), mCOWMapClones, ""); got < 3 {
+		t.Errorf("sharded KB: map clones = %v, want >= 3", got)
+	}
+	if got := counterValue(skb.Metrics(), mCOWMapEntries, ""); got < 3 {
+		t.Errorf("sharded KB: cloned entries = %v, want >= 3", got)
 	}
 }

@@ -1020,6 +1020,10 @@ func (kb *ShardedKB) wireShardedMetrics(reg *metrics.Registry, policy wal.FsyncP
 				"Read-only transactions served lock-free from a published snapshot."),
 			RecordsCloned: reg.Counter(mSnapCloned,
 				"Node and relationship records cloned copy-on-write by write transactions."),
+			COWMapClones: reg.Counter(mCOWMapClones,
+				"Whole maps copied copy-on-write by write transactions (first touch only)."),
+			COWMapClonedEntries: reg.Counter(mCOWMapEntries,
+				"Entries held by the maps write transactions copied copy-on-write."),
 			LockWaitSeconds: lockWait.With(label),
 		})
 	}

@@ -30,10 +30,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,22 +108,51 @@ func (r Rel) Other(id NodeID) NodeID {
 // nodeRec is one version of a node. Once a record has been published in a
 // committed snapshot it is immutable; a write transaction that touches it
 // first installs a private clone in its working copy (copy-on-write).
+//
+// Every part of the record is a slice, not a map: a node typically carries a
+// label or two, a handful of properties and a few relationships, and slices
+// of those cost a fraction of the equivalent Go maps. An empty part
+// allocates nothing.
 type nodeRec struct {
-	id     NodeID
-	labels map[string]struct{}
-	props  map[string]value.Value
-	out    map[RelID]*relRec
-	in     map[RelID]*relRec
+	id NodeID
+	// labels is sorted and duplicate-free.
+	labels []string
+	props  props
+	// out and in hold the incident relationships in ascending RelID order,
+	// which is creation order for the store's own relationships. They share
+	// the *relRec of the relationship table, so traversal needs no lookup
+	// per edge; only a record's immutable fields (id, type, endpoints) are
+	// read through them.
+	out []*relRec
+	in  []*relRec
 }
 
+// clone copies the record and its slices, so the clone can be mutated in
+// place without touching the published version.
 func (n *nodeRec) clone() *nodeRec {
 	return &nodeRec{
 		id:     n.id,
-		labels: maps.Clone(n.labels),
-		props:  maps.Clone(n.props),
-		out:    maps.Clone(n.out),
-		in:     maps.Clone(n.in),
+		labels: slices.Clone(n.labels),
+		props:  slices.Clone(n.props),
+		out:    slices.Clone(n.out),
+		in:     slices.Clone(n.in),
 	}
+}
+
+// sortedLabels returns labels sorted and without duplicates, in a fresh
+// slice (nil when there are none).
+func sortedLabels(labels []string) []string {
+	if len(labels) == 0 {
+		return nil
+	}
+	ls := slices.Clone(labels)
+	slices.Sort(ls)
+	return slices.Compact(ls)
+}
+
+func (n *nodeRec) hasLabel(label string) bool {
+	_, found := slices.BinarySearch(n.labels, label)
+	return found
 }
 
 // relRec is one version of a relationship. Endpoints are held by identifier,
@@ -133,14 +163,101 @@ type relRec struct {
 	typ   string
 	start NodeID
 	end   NodeID
-	props map[string]value.Value
+	props props
 }
 
 func (r *relRec) clone() *relRec {
 	c := *r
-	c.props = maps.Clone(r.props)
+	c.props = slices.Clone(r.props)
 	return &c
 }
+
+// prop is one property of a record.
+type prop struct {
+	key string
+	val value.Value
+}
+
+// props is a record's property set, sorted by key. The in-place mutators
+// are only valid on a record private to the calling transaction.
+type props []prop
+
+// newProps builds a property set from a map, dropping NULL values (they are
+// never stored).
+func newProps(m map[string]value.Value) props {
+	ps := make(props, 0, len(m))
+	for k, v := range m {
+		if !v.IsNull() {
+			ps = append(ps, prop{k, v})
+		}
+	}
+	ps.sort()
+	return ps
+}
+
+func (ps props) sort() {
+	slices.SortFunc(ps, func(a, b prop) int { return strings.Compare(a.key, b.key) })
+}
+
+func (ps props) search(key string) (int, bool) {
+	return slices.BinarySearchFunc(ps, key, func(p prop, k string) int { return strings.Compare(p.key, k) })
+}
+
+func (ps props) get(key string) (value.Value, bool) {
+	if i, ok := ps.search(key); ok {
+		return ps[i].val, true
+	}
+	return value.Null, false
+}
+
+func (ps *props) set(key string, v value.Value) {
+	if i, ok := ps.search(key); ok {
+		(*ps)[i].val = v
+	} else {
+		*ps = slices.Insert(*ps, i, prop{key, v})
+	}
+}
+
+func (ps *props) remove(key string) {
+	if i, ok := ps.search(key); ok {
+		*ps = slices.Delete(*ps, i, i+1)
+	}
+}
+
+func (ps props) keys() []string {
+	keys := make([]string, len(ps))
+	for i, p := range ps {
+		keys[i] = p.key
+	}
+	return keys
+}
+
+func (ps props) toMap() map[string]value.Value {
+	m := make(map[string]value.Value, len(ps))
+	for _, p := range ps {
+		m[p.key] = p.val
+	}
+	return m
+}
+
+// addRel inserts r into an adjacency slice, keeping RelID order. A new
+// relationship carries the highest identifier so far, so the common case is
+// an append.
+func addRel(rs []*relRec, r *relRec) []*relRec {
+	i, _ := slices.BinarySearchFunc(rs, r.id, cmpRelID)
+	return slices.Insert(rs, i, r)
+}
+
+// removeRel deletes relationship id from an adjacency slice in place,
+// keeping the order of the rest.
+func removeRel(rs []*relRec, id RelID) []*relRec {
+	if i, ok := slices.BinarySearchFunc(rs, id, cmpRelID); ok {
+		return slices.Delete(rs, i, i+1)
+	}
+	return rs
+}
+
+func cmpRelID(r *relRec, id RelID) int { return cmp.Compare(r.id, id) }
 
 // snapshot is one committed version of the whole store. Every snapshot
 // reachable from Store.snap (or pinned by a read-only transaction or a
@@ -231,6 +348,14 @@ type Metrics struct {
 	// RecordsCloned counts node and relationship records cloned
 	// copy-on-write by write transactions — the per-commit COW footprint.
 	RecordsCloned *metrics.Counter
+	// COWMapClones counts whole maps a write transaction copied on first
+	// touch: the node and relationship tables, the label and rel-type
+	// tables and sets, the index table, an index's value table and its
+	// posting sets.
+	COWMapClones *metrics.Counter
+	// COWMapClonedEntries counts the entries those copies held. A write
+	// whose count grows with the graph is O(graph), not O(touched).
+	COWMapClonedEntries *metrics.Counter
 	// LockWaitSeconds observes how long Begin(ReadWrite) waited for the
 	// store's write lock. On a sharded store this is the per-shard writer
 	// queueing delay (rkm_shard_lock_wait_seconds).
@@ -440,24 +565,16 @@ func (s *Store) Stats() Stats {
 }
 
 func snapshotNode(n *nodeRec) Node {
-	labels := make([]string, 0, len(n.labels))
-	for l := range n.labels {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	props := make(map[string]value.Value, len(n.props))
-	for k, v := range n.props {
-		props[k] = v
-	}
-	return Node{ID: n.id, Labels: labels, Props: props}
+	return Node{ID: n.id, Labels: n.labelsCopy(), Props: n.props.toMap()}
+}
+
+// labelsCopy returns the sorted labels in a fresh, never-nil slice.
+func (n *nodeRec) labelsCopy() []string {
+	return append(make([]string, 0, len(n.labels)), n.labels...)
 }
 
 func snapshotRel(r *relRec) Rel {
-	props := make(map[string]value.Value, len(r.props))
-	for k, v := range r.props {
-		props[k] = v
-	}
-	return Rel{ID: r.id, Type: r.typ, Start: r.start, End: r.end, Props: props}
+	return Rel{ID: r.id, Type: r.typ, Start: r.start, End: r.end, Props: r.props.toMap()}
 }
 
 func fmtErrNode(id NodeID) error { return fmt.Errorf("%w: %d", ErrNodeNotFound, id) }

@@ -35,7 +35,7 @@ func (s *Store) CreateIndex(label, prop string) error {
 	}
 	idx := &propIndex{byValue: make(map[string]map[NodeID]struct{})}
 	for id := range base.byLabel[label] {
-		if v, ok := base.nodes[id].props[prop]; ok {
+		if v, ok := base.nodes[id].props.get(prop); ok {
 			idx.insert(v, id)
 		}
 	}
@@ -116,7 +116,7 @@ func (idx *propIndex) insert(v value.Value, id NodeID) {
 // index for property (key, v). Only valid while building a not-yet-published
 // snapshot (Import).
 func (sn *snapshot) indexInsertNode(rec *nodeRec, key string, v value.Value) {
-	for label := range rec.labels {
+	for _, label := range rec.labels {
 		if idx, ok := sn.indexes[indexKey{label, key}]; ok {
 			idx.insert(v, rec.id)
 		}

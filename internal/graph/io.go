@@ -70,17 +70,7 @@ func (sn *snapshot) export(w io.Writer) error {
 	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
 	for _, id := range nodeIDs {
 		rec := sn.nodes[id]
-		en := exportNode{ID: int64(id)}
-		for l := range rec.labels {
-			en.Labels = append(en.Labels, l)
-		}
-		sort.Strings(en.Labels)
-		if len(rec.props) > 0 {
-			en.Props = make(map[string]any, len(rec.props))
-			for k, v := range rec.props {
-				en.Props[k] = value.ToJSON(v)
-			}
-		}
+		en := exportNode{ID: int64(id), Labels: rec.labels, Props: rec.props.toJSON()}
 		doc.Nodes = append(doc.Nodes, en)
 	}
 	relIDs := make([]RelID, 0, len(sn.rels))
@@ -93,12 +83,7 @@ func (sn *snapshot) export(w io.Writer) error {
 		er := exportRel{
 			ID: int64(id), Type: rec.typ,
 			Start: int64(rec.start), End: int64(rec.end),
-		}
-		if len(rec.props) > 0 {
-			er.Props = make(map[string]any, len(rec.props))
-			for k, v := range rec.props {
-				er.Props[k] = value.ToJSON(v)
-			}
+			Props: rec.props.toJSON(),
 		}
 		doc.Rels = append(doc.Rels, er)
 	}
@@ -133,29 +118,17 @@ func (s *Store) Import(r io.Reader) error {
 		next.indexes[key] = &propIndex{byValue: make(map[string]map[NodeID]struct{})}
 	}
 	for _, en := range doc.Nodes {
-		rec := &nodeRec{
-			id:     NodeID(en.ID),
-			labels: make(map[string]struct{}, len(en.Labels)),
-			props:  make(map[string]value.Value, len(en.Props)),
-			out:    make(map[RelID]*relRec),
-			in:     make(map[RelID]*relRec),
+		ps, err := propsFromJSON(en.Props)
+		if err != nil {
+			return fmt.Errorf("graph: import node %d %w", en.ID, err)
 		}
-		for _, l := range en.Labels {
-			rec.labels[l] = struct{}{}
+		rec := &nodeRec{id: NodeID(en.ID), labels: sortedLabels(en.Labels), props: ps}
+		for _, l := range rec.labels {
 			next.labelSet(l)[rec.id] = struct{}{}
 		}
-		for k, raw := range en.Props {
-			v, err := value.FromJSON(raw)
-			if err != nil {
-				return fmt.Errorf("graph: import node %d prop %s: %w", en.ID, k, err)
-			}
-			if !v.IsNull() {
-				rec.props[k] = v
-			}
-		}
 		next.nodes[rec.id] = rec
-		for k, v := range rec.props {
-			next.indexInsertNode(rec, k, v)
+		for _, p := range rec.props {
+			next.indexInsertNode(rec, p.key, p.val)
 		}
 	}
 	for _, er := range doc.Rels {
@@ -167,25 +140,17 @@ func (s *Store) Import(r io.Reader) error {
 		if !hasStart && !hasEnd {
 			return fmt.Errorf("graph: import rel %d: both endpoints (%d, %d) missing", er.ID, er.Start, er.End)
 		}
-		rec := &relRec{
-			id: RelID(er.ID), typ: er.Type, start: NodeID(er.Start), end: NodeID(er.End),
-			props: make(map[string]value.Value, len(er.Props)),
+		ps, err := propsFromJSON(er.Props)
+		if err != nil {
+			return fmt.Errorf("graph: import rel %d %w", er.ID, err)
 		}
-		for k, raw := range er.Props {
-			v, err := value.FromJSON(raw)
-			if err != nil {
-				return fmt.Errorf("graph: import rel %d prop %s: %w", er.ID, k, err)
-			}
-			if !v.IsNull() {
-				rec.props[k] = v
-			}
-		}
+		rec := &relRec{id: RelID(er.ID), typ: er.Type, start: NodeID(er.Start), end: NodeID(er.End), props: ps}
 		next.rels[rec.id] = rec
 		if hasStart {
-			start.out[rec.id] = rec
+			start.out = addRel(start.out, rec)
 		}
 		if hasEnd {
-			end.in[rec.id] = rec
+			end.in = addRel(end.in, rec)
 		}
 		next.relTypeSet(rec.typ)[rec.id] = struct{}{}
 	}
@@ -218,4 +183,32 @@ func (s *Store) Import(r io.Reader) error {
 	s.snap.Store(next)
 	s.metrics.Load().SnapshotsPublished.Inc()
 	return nil
+}
+
+// toJSON renders a property set for export; nil when it is empty.
+func (ps props) toJSON() map[string]any {
+	if len(ps) == 0 {
+		return nil
+	}
+	m := make(map[string]any, len(ps))
+	for _, p := range ps {
+		m[p.key] = value.ToJSON(p.val)
+	}
+	return m
+}
+
+// propsFromJSON decodes an exported property set, dropping NULL values.
+func propsFromJSON(raw map[string]any) (props, error) {
+	ps := make(props, 0, len(raw))
+	for k, x := range raw {
+		v, err := value.FromJSON(x)
+		if err != nil {
+			return nil, fmt.Errorf("prop %s: %w", k, err)
+		}
+		if !v.IsNull() {
+			ps = append(ps, prop{k, v})
+		}
+	}
+	ps.sort()
+	return ps, nil
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/value"
@@ -215,9 +215,17 @@ func (tx *Tx) writable() error {
 // always go through tx.view, so the transaction sees its own writes while
 // concurrent readers keep seeing the untouched committed snapshot.
 
+// cloneMap copies a shared map into the working copy, counting the copy and
+// its size in the store's COW metrics.
+func cloneMap[M ~map[K]V, K comparable, V any](tx *Tx, m M) M {
+	tx.metrics.COWMapClones.Inc()
+	tx.metrics.COWMapClonedEntries.Add(int64(len(m)))
+	return maps.Clone(m)
+}
+
 func (tx *Tx) wNodes() map[NodeID]*nodeRec {
 	if !tx.w.nodesCloned {
-		tx.view.nodes = maps.Clone(tx.view.nodes)
+		tx.view.nodes = cloneMap(tx, tx.view.nodes)
 		tx.w.nodesCloned = true
 	}
 	tx.w.wrote = true
@@ -248,7 +256,7 @@ func (tx *Tx) putNode(rec *nodeRec) {
 
 func (tx *Tx) wRels() map[RelID]*relRec {
 	if !tx.w.relsCloned {
-		tx.view.rels = maps.Clone(tx.view.rels)
+		tx.view.rels = cloneMap(tx, tx.view.rels)
 		tx.w.relsCloned = true
 	}
 	tx.w.wrote = true
@@ -278,7 +286,7 @@ func (tx *Tx) putRel(rec *relRec) {
 // it as needed.
 func (tx *Tx) wLabelSet(label string) map[NodeID]struct{} {
 	if !tx.w.labelsCloned {
-		tx.view.byLabel = maps.Clone(tx.view.byLabel)
+		tx.view.byLabel = cloneMap(tx, tx.view.byLabel)
 		tx.w.labelsCloned = true
 	}
 	tx.w.wrote = true
@@ -290,7 +298,7 @@ func (tx *Tx) wLabelSet(label string) map[NodeID]struct{} {
 		return set
 	}
 	if _, private := tx.w.clonedLabelSets[label]; !private {
-		set = maps.Clone(set)
+		set = cloneMap(tx, set)
 		tx.view.byLabel[label] = set
 		tx.w.clonedLabelSets[label] = struct{}{}
 	}
@@ -299,7 +307,7 @@ func (tx *Tx) wLabelSet(label string) map[NodeID]struct{} {
 
 func (tx *Tx) wRelTypeSet(typ string) map[RelID]struct{} {
 	if !tx.w.relTypesCloned {
-		tx.view.byRelType = maps.Clone(tx.view.byRelType)
+		tx.view.byRelType = cloneMap(tx, tx.view.byRelType)
 		tx.w.relTypesCloned = true
 	}
 	tx.w.wrote = true
@@ -311,7 +319,7 @@ func (tx *Tx) wRelTypeSet(typ string) map[RelID]struct{} {
 		return set
 	}
 	if _, private := tx.w.clonedRelTypeSets[typ]; !private {
-		set = maps.Clone(set)
+		set = cloneMap(tx, set)
 		tx.view.byRelType[typ] = set
 		tx.w.clonedRelTypeSets[typ] = struct{}{}
 	}
@@ -328,10 +336,10 @@ func (tx *Tx) wIndex(ik indexKey) *propIndex {
 	}
 	if _, private := tx.w.clonedIdx[ik]; !private {
 		if !tx.w.indexesCloned {
-			tx.view.indexes = maps.Clone(tx.view.indexes)
+			tx.view.indexes = cloneMap(tx, tx.view.indexes)
 			tx.w.indexesCloned = true
 		}
-		idx = &propIndex{byValue: maps.Clone(idx.byValue)}
+		idx = &propIndex{byValue: cloneMap(tx, idx.byValue)}
 		tx.view.indexes[ik] = idx
 		tx.w.clonedIdx[ik] = struct{}{}
 		tx.w.clonedIdxSets[ik] = make(map[string]struct{})
@@ -353,7 +361,7 @@ func (tx *Tx) idxInsert(ik indexKey, v value.Value, id NodeID) {
 		idx.byValue[k] = set
 		sets[k] = struct{}{}
 	} else if _, private := sets[k]; !private {
-		set = maps.Clone(set)
+		set = cloneMap(tx, set)
 		idx.byValue[k] = set
 		sets[k] = struct{}{}
 	}
@@ -372,7 +380,7 @@ func (tx *Tx) idxRemove(ik indexKey, v value.Value, id NodeID) {
 	}
 	sets := tx.w.clonedIdxSets[ik]
 	if _, private := sets[k]; !private {
-		set = maps.Clone(set)
+		set = cloneMap(tx, set)
 		idx.byValue[k] = set
 		sets[k] = struct{}{}
 	}
@@ -385,13 +393,13 @@ func (tx *Tx) idxRemove(ik indexKey, v value.Value, id NodeID) {
 // indexInsertNode updates all indexes matching any of the node's labels for
 // property (key, v).
 func (tx *Tx) indexInsertNode(rec *nodeRec, key string, v value.Value) {
-	for label := range rec.labels {
+	for _, label := range rec.labels {
 		tx.idxInsert(indexKey{label, key}, v, rec.id)
 	}
 }
 
 func (tx *Tx) indexRemoveNode(rec *nodeRec, key string, v value.Value) {
-	for label := range rec.labels {
+	for _, label := range rec.labels {
 		tx.idxRemove(indexKey{label, key}, v, rec.id)
 	}
 }
@@ -410,27 +418,13 @@ func (tx *Tx) CreateNode(labels []string, props map[string]value.Value) (NodeID,
 }
 
 func (tx *Tx) createNode(id NodeID, labels []string, props map[string]value.Value) error {
-	rec := &nodeRec{
-		id:     id,
-		labels: make(map[string]struct{}, len(labels)),
-		props:  make(map[string]value.Value, len(props)),
-		out:    make(map[RelID]*relRec),
-		in:     make(map[RelID]*relRec),
-	}
-	for _, l := range labels {
-		rec.labels[l] = struct{}{}
-	}
-	for k, v := range props {
-		if !v.IsNull() {
-			rec.props[k] = v
-		}
-	}
+	rec := &nodeRec{id: id, labels: sortedLabels(labels), props: newProps(props)}
 	tx.putNode(rec)
-	for l := range rec.labels {
+	for _, l := range rec.labels {
 		tx.wLabelSet(l)[id] = struct{}{}
 	}
-	for k, v := range rec.props {
-		tx.indexInsertNode(rec, k, v)
+	for _, p := range rec.props {
+		tx.indexInsertNode(rec, p.key, p.val)
 	}
 	tx.data.CreatedNodes = append(tx.data.CreatedNodes, id)
 	return nil
@@ -451,28 +445,25 @@ func (tx *Tx) DeleteNode(id NodeID, detach bool) error {
 		if !detach {
 			return ErrHasRels
 		}
-		// Collect incident relationship identifiers up front (a self-loop
-		// appears in both out and in) — deleting them mutates these maps.
-		rids := make(map[RelID]struct{}, len(rec.out)+len(rec.in))
-		for rid := range rec.out {
-			rids[rid] = struct{}{}
+		// The node's own adjacency goes with it, so only the far endpoints'
+		// lists are edited; a self-loop sits in both of rec's lists and is
+		// deleted once, from out. The adjacency may hold a stale version of
+		// a relationship whose properties changed, so each is looked up.
+		for _, r := range rec.out {
+			tx.deleteRel(tx.view.rels[r.id], id)
 		}
-		for rid := range rec.in {
-			rids[rid] = struct{}{}
-		}
-		for rid := range rids {
-			if err := tx.DeleteRel(rid); err != nil {
-				return err
+		for _, r := range rec.in {
+			if r.start != r.end {
+				tx.deleteRel(tx.view.rels[r.id], id)
 			}
 		}
-		rec = tx.view.nodes[id] // detach replaced the record copy-on-write
 	}
 	snap := snapshotNode(rec)
-	for l := range rec.labels {
+	for _, l := range rec.labels {
 		delete(tx.wLabelSet(l), id)
 	}
-	for k, v := range rec.props {
-		tx.indexRemoveNode(rec, k, v)
+	for _, p := range rec.props {
+		tx.indexRemoveNode(rec, p.key, p.val)
 	}
 	delete(tx.wNodes(), id)
 	tx.data.DeletedNodes = append(tx.data.DeletedNodes, snap)
@@ -496,18 +487,12 @@ func (tx *Tx) CreateRel(start, end NodeID, typ string, props map[string]value.Va
 }
 
 func (tx *Tx) createRel(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	rec := &relRec{id: id, typ: typ, start: start, end: end,
-		props: make(map[string]value.Value, len(props))}
-	for k, v := range props {
-		if !v.IsNull() {
-			rec.props[k] = v
-		}
-	}
+	rec := &relRec{id: id, typ: typ, start: start, end: end, props: newProps(props)}
 	tx.putRel(rec)
 	sRec, _ := tx.wNode(start)
-	sRec.out[id] = rec
+	sRec.out = addRel(sRec.out, rec)
 	eRec, _ := tx.wNode(end)
-	eRec.in[id] = rec
+	eRec.in = addRel(eRec.in, rec)
 	tx.wRelTypeSet(typ)[id] = struct{}{}
 	tx.data.CreatedRels = append(tx.data.CreatedRels, id)
 	return nil
@@ -522,22 +507,33 @@ func (tx *Tx) DeleteRel(id RelID) error {
 	if !ok {
 		return fmtErrRel(id)
 	}
+	tx.deleteRel(rec, 0)
+	return nil
+}
+
+// deleteRel removes the current version of a relationship, editing the
+// adjacency of every locally present endpoint except gone (the node a
+// DETACH DELETE is removing; 0 is no node). A bridge half-relationship
+// (sharded stores) has one endpoint in another shard, which carries no
+// local adjacency.
+func (tx *Tx) deleteRel(rec *relRec, gone NodeID) {
 	snap := snapshotRel(rec)
-	delete(tx.wRels(), id)
-	// A bridge half-relationship (sharded stores) has one endpoint in another
-	// shard; only locally present endpoints carry adjacency entries.
-	if sRec, ok := tx.wNode(rec.start); ok {
-		delete(sRec.out, id)
+	delete(tx.wRels(), rec.id)
+	if rec.start != gone {
+		if sRec, ok := tx.wNode(rec.start); ok {
+			sRec.out = removeRel(sRec.out, rec.id)
+		}
 	}
-	if eRec, ok := tx.wNode(rec.end); ok {
-		delete(eRec.in, id)
+	if rec.end != gone {
+		if eRec, ok := tx.wNode(rec.end); ok {
+			eRec.in = removeRel(eRec.in, rec.id)
+		}
 	}
-	delete(tx.wRelTypeSet(rec.typ), id)
-	if tx.relIsMirror(id) {
+	delete(tx.wRelTypeSet(rec.typ), rec.id)
+	if tx.relIsMirror(rec.id) {
 		tx.view.mirrorRels--
 	}
 	tx.data.DeletedRels = append(tx.data.DeletedRels, snap)
-	return nil
 }
 
 // SetLabel adds a label to a node; adding a label the node already carries
@@ -548,14 +544,15 @@ func (tx *Tx) SetLabel(id NodeID, label string) error {
 	}
 	if rec, ok := tx.view.nodes[id]; !ok {
 		return fmtErrNode(id)
-	} else if _, has := rec.labels[label]; has {
+	} else if rec.hasLabel(label) {
 		return nil
 	}
 	rec, _ := tx.wNode(id)
-	rec.labels[label] = struct{}{}
+	i, _ := slices.BinarySearch(rec.labels, label)
+	rec.labels = slices.Insert(rec.labels, i, label)
 	tx.wLabelSet(label)[id] = struct{}{}
-	for k, v := range rec.props {
-		tx.idxInsert(indexKey{label, k}, v, id)
+	for _, p := range rec.props {
+		tx.idxInsert(indexKey{label, p.key}, p.val, id)
 	}
 	tx.data.AssignedLabels = append(tx.data.AssignedLabels, LabelChange{Node: id, Label: label})
 	return nil
@@ -569,14 +566,15 @@ func (tx *Tx) RemoveLabel(id NodeID, label string) error {
 	}
 	if rec, ok := tx.view.nodes[id]; !ok {
 		return fmtErrNode(id)
-	} else if _, has := rec.labels[label]; !has {
+	} else if !rec.hasLabel(label) {
 		return nil
 	}
 	rec, _ := tx.wNode(id)
-	delete(rec.labels, label)
+	i, _ := slices.BinarySearch(rec.labels, label)
+	rec.labels = slices.Delete(rec.labels, i, i+1)
 	delete(tx.wLabelSet(label), id)
-	for k, v := range rec.props {
-		tx.idxRemove(indexKey{label, k}, v, id)
+	for _, p := range rec.props {
+		tx.idxRemove(indexKey{label, p.key}, p.val, id)
 	}
 	tx.data.RemovedLabels = append(tx.data.RemovedLabels, LabelChange{Node: id, Label: label})
 	return nil
@@ -592,20 +590,20 @@ func (tx *Tx) SetNodeProp(id NodeID, key string, v value.Value) error {
 	if !ok {
 		return fmtErrNode(id)
 	}
-	old, had := cur.props[key]
+	old, had := cur.props.get(key)
 	if v.IsNull() {
 		if !had {
 			return nil
 		}
 		rec, _ := tx.wNode(id)
-		delete(rec.props, key)
+		rec.props.remove(key)
 		tx.indexRemoveNode(rec, key, old)
 		tx.data.RemovedProps = append(tx.data.RemovedProps,
 			PropChange{Kind: NodeEntity, Node: id, Key: key, Old: old, New: value.Null})
 		return nil
 	}
 	rec, _ := tx.wNode(id)
-	rec.props[key] = v
+	rec.props.set(key, v)
 	if had {
 		tx.indexRemoveNode(rec, key, old)
 	}
@@ -634,19 +632,19 @@ func (tx *Tx) SetRelProp(id RelID, key string, v value.Value) error {
 	if !ok {
 		return fmtErrRel(id)
 	}
-	old, had := cur.props[key]
+	old, had := cur.props.get(key)
 	if v.IsNull() {
 		if !had {
 			return nil
 		}
 		rec, _ := tx.wRel(id)
-		delete(rec.props, key)
+		rec.props.remove(key)
 		tx.data.RemovedProps = append(tx.data.RemovedProps,
 			PropChange{Kind: RelEntity, Rel: id, Key: key, Old: old, New: value.Null})
 		return nil
 	}
 	rec, _ := tx.wRel(id)
-	rec.props[key] = v
+	rec.props.set(key, v)
 	oldRecorded := value.Null
 	if had {
 		oldRecorded = old
@@ -738,19 +736,13 @@ func (tx *Tx) CreateBridgeRelWithID(id RelID, start, end NodeID, typ string, pro
 // the record itself, the type-set entry and adjacency for whichever
 // endpoints are locally present.
 func (tx *Tx) createBridgeHalf(id RelID, start, end NodeID, typ string, props map[string]value.Value) error {
-	rec := &relRec{id: id, typ: typ, start: start, end: end,
-		props: make(map[string]value.Value, len(props))}
-	for k, v := range props {
-		if !v.IsNull() {
-			rec.props[k] = v
-		}
-	}
+	rec := &relRec{id: id, typ: typ, start: start, end: end, props: newProps(props)}
 	tx.putRel(rec)
 	if sRec, ok := tx.wNode(start); ok {
-		sRec.out[id] = rec
+		sRec.out = addRel(sRec.out, rec)
 	}
 	if eRec, ok := tx.wNode(end); ok {
-		eRec.in[id] = rec
+		eRec.in = addRel(eRec.in, rec)
 	}
 	tx.wRelTypeSet(typ)[id] = struct{}{}
 	if tx.relIsMirror(id) {
@@ -830,22 +822,13 @@ func (tx *Tx) NodeLabels(id NodeID) ([]string, bool) {
 	if !ok {
 		return nil, false
 	}
-	labels := make([]string, 0, len(rec.labels))
-	for l := range rec.labels {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels, true
+	return rec.labelsCopy(), true
 }
 
 // NodeHasLabel reports whether the node carries the label.
 func (tx *Tx) NodeHasLabel(id NodeID, label string) bool {
 	rec, ok := tx.view.nodes[id]
-	if !ok {
-		return false
-	}
-	_, has := rec.labels[label]
-	return has
+	return ok && rec.hasLabel(label)
 }
 
 // NodeProp returns a node property value; the second result is false if the
@@ -855,8 +838,7 @@ func (tx *Tx) NodeProp(id NodeID, key string) (value.Value, bool) {
 	if !ok {
 		return value.Null, false
 	}
-	v, has := rec.props[key]
-	return v, has
+	return rec.props.get(key)
 }
 
 // NodePropKeys returns the property keys of a node, sorted.
@@ -865,12 +847,7 @@ func (tx *Tx) NodePropKeys(id NodeID) []string {
 	if !ok {
 		return nil
 	}
-	keys := make([]string, 0, len(rec.props))
-	for k := range rec.props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return rec.props.keys()
 }
 
 // RelProp returns a relationship property value.
@@ -879,8 +856,7 @@ func (tx *Tx) RelProp(id RelID, key string) (value.Value, bool) {
 	if !ok {
 		return value.Null, false
 	}
-	v, has := rec.props[key]
-	return v, has
+	return rec.props.get(key)
 }
 
 // RelPropKeys returns the property keys of a relationship, sorted.
@@ -889,12 +865,7 @@ func (tx *Tx) RelPropKeys(id RelID) []string {
 	if !ok {
 		return nil
 	}
-	keys := make([]string, 0, len(rec.props))
-	for k := range rec.props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return rec.props.keys()
 }
 
 // RelEndpoints returns the type, start and end of a relationship without
@@ -925,7 +896,9 @@ func (r RelHandle) Other(id NodeID) NodeID {
 
 // RelsOf returns the relationships incident to a node in the given
 // direction, optionally filtered to a set of types (nil means all types).
-// For Direction Both, self-loops are reported once.
+// Outgoing relationships come first, each direction in ascending RelID
+// order (creation order for the store's own relationships). For Direction
+// Both, self-loops are reported once.
 func (tx *Tx) RelsOf(id NodeID, dir Direction, types []string) []RelHandle {
 	rec, ok := tx.view.nodes[id]
 	if !ok {

@@ -38,24 +38,24 @@ func Add(a, b Value) (Value, error) {
 	case a.kind == KindString && b.kind == KindString:
 		return String_(a.s + b.s), nil
 	case a.kind == KindList && b.kind == KindList:
-		out := make([]Value, 0, len(a.list)+len(b.list))
-		out = append(out, a.list...)
-		out = append(out, b.list...)
+		out := make([]Value, 0, len(a.list())+len(b.list()))
+		out = append(out, a.list()...)
+		out = append(out, b.list()...)
 		return ListOf(out), nil
 	case a.kind == KindList:
-		out := make([]Value, 0, len(a.list)+1)
-		out = append(out, a.list...)
+		out := make([]Value, 0, len(a.list())+1)
+		out = append(out, a.list()...)
 		out = append(out, b)
 		return ListOf(out), nil
 	case b.kind == KindList:
-		out := make([]Value, 0, len(b.list)+1)
+		out := make([]Value, 0, len(b.list())+1)
 		out = append(out, a)
-		out = append(out, b.list...)
+		out = append(out, b.list()...)
 		return ListOf(out), nil
 	case a.kind == KindDateTime && b.kind == KindDuration:
-		return DateTime(a.t.Add(time.Duration(b.i))), nil
+		return DateTime(a.t().Add(time.Duration(b.i))), nil
 	case a.kind == KindDuration && b.kind == KindDateTime:
-		return DateTime(b.t.Add(time.Duration(a.i))), nil
+		return DateTime(b.t().Add(time.Duration(a.i))), nil
 	case a.kind == KindDuration && b.kind == KindDuration:
 		return Duration(time.Duration(a.i + b.i)), nil
 	default:
@@ -76,9 +76,9 @@ func Sub(a, b Value) (Value, error) {
 		bf, _ := b.NumberAsFloat()
 		return Float(af - bf), nil
 	case a.kind == KindDateTime && b.kind == KindDuration:
-		return DateTime(a.t.Add(-time.Duration(b.i))), nil
+		return DateTime(a.t().Add(-time.Duration(b.i))), nil
 	case a.kind == KindDateTime && b.kind == KindDateTime:
-		return Duration(a.t.Sub(b.t)), nil
+		return Duration(a.t().Sub(b.t())), nil
 	case a.kind == KindDuration && b.kind == KindDuration:
 		return Duration(time.Duration(a.i - b.i)), nil
 	default:
@@ -176,7 +176,7 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return Int(-a.i), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.f()), nil
 	case KindDuration:
 		return Duration(time.Duration(-a.i)), nil
 	default:

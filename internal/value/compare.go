@@ -18,22 +18,23 @@ func Equal(a, b Value) (eq bool, known bool) {
 	}
 	switch a.kind {
 	case KindBool:
-		return a.b == b.b, true
+		return a.b() == b.b(), true
 	case KindString:
 		return a.s == b.s, true
 	case KindDateTime:
-		return a.t.Equal(b.t), true
+		return a.t().Equal(b.t()), true
 	case KindDuration:
 		return a.i == b.i, true
 	case KindNode, KindRelationship:
 		return a.i == b.i, true
 	case KindList:
-		if len(a.list) != len(b.list) {
+		al, bl := a.list(), b.list()
+		if len(al) != len(bl) {
 			return false, true
 		}
 		unknown := false
-		for i := range a.list {
-			e, k := Equal(a.list[i], b.list[i])
+		for i := range al {
+			e, k := Equal(al[i], bl[i])
 			if !k {
 				unknown = true
 				continue
@@ -47,12 +48,13 @@ func Equal(a, b Value) (eq bool, known bool) {
 		}
 		return true, true
 	case KindMap:
-		if len(a.m) != len(b.m) {
+		am, bm := a.m(), b.m()
+		if len(am) != len(bm) {
 			return false, true
 		}
 		unknown := false
-		for k, av := range a.m {
-			bv, ok := b.m[k]
+		for k, av := range am {
+			bv, ok := bm[k]
 			if !ok {
 				return false, true
 			}
@@ -105,21 +107,23 @@ func SameValue(a, b Value) bool {
 	}
 	switch a.kind {
 	case KindList:
-		if len(a.list) != len(b.list) {
+		al, bl := a.list(), b.list()
+		if len(al) != len(bl) {
 			return false
 		}
-		for i := range a.list {
-			if !SameValue(a.list[i], b.list[i]) {
+		for i := range al {
+			if !SameValue(al[i], bl[i]) {
 				return false
 			}
 		}
 		return true
 	case KindMap:
-		if len(a.m) != len(b.m) {
+		am, bm := a.m(), b.m()
+		if len(am) != len(bm) {
 			return false
 		}
-		for k, av := range a.m {
-			bv, ok := b.m[k]
+		for k, av := range am {
+			bv, ok := bm[k]
 			if !ok || !SameValue(av, bv) {
 				return false
 			}
@@ -177,9 +181,9 @@ func Compare(a, b Value) int {
 		return 0
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.b() == b.b():
 			return 0
-		case !a.b:
+		case !a.b():
 			return -1
 		default:
 			return 1
@@ -197,9 +201,9 @@ func Compare(a, b Value) int {
 		}
 	case KindDateTime:
 		switch {
-		case a.t.Before(b.t):
+		case a.t().Before(b.t()):
 			return -1
-		case a.t.After(b.t):
+		case a.t().After(b.t()):
 			return 1
 		default:
 			return 0
@@ -214,19 +218,17 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	case KindList:
-		n := len(a.list)
-		if len(b.list) < n {
-			n = len(b.list)
-		}
+		al, bl := a.list(), b.list()
+		n := min(len(al), len(bl))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.list[i], b.list[i]); c != 0 {
+			if c := Compare(al[i], bl[i]); c != 0 {
 				return c
 			}
 		}
 		switch {
-		case len(a.list) < len(b.list):
+		case len(al) < len(bl):
 			return -1
-		case len(a.list) > len(b.list):
+		case len(al) > len(bl):
 			return 1
 		default:
 			return 0
@@ -234,13 +236,14 @@ func Compare(a, b Value) int {
 	case KindMap:
 		// Maps are ordered by size then by sorted key sequence; a stable
 		// arbitrary-but-deterministic order is all ORDER BY requires.
-		if len(a.m) != len(b.m) {
-			if len(a.m) < len(b.m) {
+		am, bm := a.m(), b.m()
+		if len(am) != len(bm) {
+			if len(am) < len(bm) {
 				return -1
 			}
 			return 1
 		}
-		ak, bk := sortedKeys(a.m), sortedKeys(b.m)
+		ak, bk := sortedKeys(am), sortedKeys(bm)
 		for i := range ak {
 			if ak[i] != bk[i] {
 				if ak[i] < bk[i] {
@@ -250,7 +253,7 @@ func Compare(a, b Value) int {
 			}
 		}
 		for _, k := range ak {
-			if c := Compare(a.m[k], b.m[k]); c != 0 {
+			if c := Compare(am[k], bm[k]); c != 0 {
 				return c
 			}
 		}
@@ -332,14 +335,14 @@ func (v Value) HashKey() string {
 	case KindNull:
 		return "\x00"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "\x01t"
 		}
 		return "\x01f"
 	case KindInt:
 		return "\x02" + itoa(v.i)
 	case KindFloat:
-		f := v.f
+		f := v.f()
 		if f == 0 {
 			f = 0 // normalize -0.0 so it groups with +0.0
 		}
@@ -347,7 +350,8 @@ func (v Value) HashKey() string {
 	case KindString:
 		return "\x04" + v.s
 	case KindDateTime:
-		return "\x05" + itoa(v.t.UnixNano()) + v.t.Location().String()
+		t := v.t()
+		return "\x05" + itoa(t.UnixNano()) + t.Location().String()
 	case KindDuration:
 		return "\x06" + itoa(v.i)
 	case KindNode:
@@ -356,15 +360,16 @@ func (v Value) HashKey() string {
 		return "\x08" + itoa(v.i)
 	case KindList:
 		out := "\x09"
-		for _, e := range v.list {
+		for _, e := range v.list() {
 			k := e.HashKey()
 			out += itoa(int64(len(k))) + ":" + k
 		}
 		return out
 	case KindMap:
 		out := "\x0a"
-		for _, k := range sortedKeys(v.m) {
-			vk := v.m[k].HashKey()
+		m := v.m()
+		for _, k := range sortedKeys(m) {
+			vk := m[k].HashKey()
 			out += itoa(int64(len(k))) + ":" + k + itoa(int64(len(vk))) + ":" + vk
 		}
 		return out

@@ -38,10 +38,11 @@ func ToInteger(v Value) (Value, error) {
 	case KindInt:
 		return v, nil
 	case KindFloat:
-		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
+		f := v.f()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return Null, nil
 		}
-		return Int(int64(v.f)), nil
+		return Int(int64(f)), nil
 	case KindString:
 		s := strings.TrimSpace(v.s)
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
@@ -52,7 +53,7 @@ func ToInteger(v Value) (Value, error) {
 		}
 		return Null, nil
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return Int(1), nil
 		}
 		return Int(0), nil
@@ -72,7 +73,7 @@ func ToString(v Value) (Value, error) {
 		s := v.String()
 		return String_(s), nil
 	case KindDateTime:
-		return String_(v.t.Format(time.RFC3339Nano)), nil
+		return String_(v.t().Format(time.RFC3339Nano)), nil
 	default:
 		return Null, fmt.Errorf("toString: cannot convert %s", v.kind)
 	}

@@ -24,29 +24,30 @@ func ToJSON(v Value) any {
 	case KindNull:
 		return nil
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindString:
 		return v.s
 	case KindInt:
 		return map[string]any{"$int": strconv.FormatInt(v.i, 10)}
 	case KindFloat:
-		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
-			return map[string]any{"$float": strconv.FormatFloat(v.f, 'g', -1, 64)}
+		f := v.f()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return map[string]any{"$float": strconv.FormatFloat(f, 'g', -1, 64)}
 		}
-		return map[string]any{"$float": v.f}
+		return map[string]any{"$float": f}
 	case KindDateTime:
-		return map[string]any{"$datetime": v.t.Format(time.RFC3339Nano)}
+		return map[string]any{"$datetime": v.t().Format(time.RFC3339Nano)}
 	case KindDuration:
 		return map[string]any{"$duration": time.Duration(v.i).String()}
 	case KindList:
-		out := make([]any, len(v.list))
-		for i, e := range v.list {
+		out := make([]any, len(v.list()))
+		for i, e := range v.list() {
 			out[i] = ToJSON(e)
 		}
 		return out
 	case KindMap:
-		inner := make(map[string]any, len(v.m))
-		for k, e := range v.m {
+		inner := make(map[string]any, len(v.m()))
+		for k, e := range v.m() {
 			inner[k] = ToJSON(e)
 		}
 		return map[string]any{"$map": inner}

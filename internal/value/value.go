@@ -67,12 +67,22 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed property or query value. The zero Value is
 // NULL.
+//
+// The layout is kept to 40 bytes because every stored property holds one:
+// the scalar kinds live inline (a FLOAT as its IEEE-754 bits in the integer
+// word, a BOOLEAN as 0 or 1 there), and DATETIME, LIST and MAP, whose
+// payloads are larger, sit behind one pointer.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64 // also entity id for Node/Relationship
-	f    float64
-	s    string
+	// i is the payload of BOOLEAN, INTEGER, FLOAT (bits), DURATION and the
+	// entity id of NODE/RELATIONSHIP.
+	i int64
+	s string
+	x *boxed
+}
+
+// boxed holds the payload of the kinds that do not fit inline.
+type boxed struct {
 	t    time.Time
 	list []Value
 	m    map[string]Value
@@ -82,13 +92,19 @@ type Value struct {
 var Null = Value{kind: KindNull}
 
 // Bool returns a BOOLEAN value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.i = 1
+	}
+	return v
+}
 
 // Int returns an INTEGER value.
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a FLOAT value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
 
 // String_ returns a STRING value. The underscore avoids clashing with the
 // fmt.Stringer method on Value.
@@ -98,25 +114,67 @@ func String_(s string) Value { return Value{kind: KindString, s: s} }
 func Str(s string) Value { return String_(s) }
 
 // DateTime returns a DATETIME value.
-func DateTime(t time.Time) Value { return Value{kind: KindDateTime, t: t} }
+func DateTime(t time.Time) Value { return Value{kind: KindDateTime, x: &boxed{t: t}} }
 
 // Duration returns a DURATION value.
 func Duration(d time.Duration) Value { return Value{kind: KindDuration, i: int64(d)} }
 
 // List returns a LIST value wrapping vs. The slice is owned by the Value.
-func List(vs ...Value) Value { return Value{kind: KindList, list: vs} }
+func List(vs ...Value) Value { return ListOf(vs) }
 
 // ListOf wraps an existing slice as a LIST value without copying.
-func ListOf(vs []Value) Value { return Value{kind: KindList, list: vs} }
+func ListOf(vs []Value) Value { return Value{kind: KindList, x: &boxed{list: vs}} }
 
 // Map returns a MAP value wrapping m. The map is owned by the Value.
-func Map(m map[string]Value) Value { return Value{kind: KindMap, m: m} }
+func Map(m map[string]Value) Value { return Value{kind: KindMap, x: &boxed{m: m}} }
 
 // Node returns a NODE reference holding a graph node identifier.
 func Node(id int64) Value { return Value{kind: KindNode, i: id} }
 
 // Relationship returns a RELATIONSHIP reference holding an edge identifier.
 func Relationship(id int64) Value { return Value{kind: KindRelationship, i: id} }
+
+// The payload readers below are only meaningful for the matching kind; for
+// any other kind they return the zero payload.
+
+func (v Value) b() bool { return v.kind == KindBool && v.i != 0 }
+
+func (v Value) f() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.i))
+}
+
+func (v Value) t() time.Time {
+	if v.kind != KindDateTime {
+		return time.Time{}
+	}
+	return v.x.t
+}
+
+func (v Value) list() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return v.x.list
+}
+
+func (v Value) m() map[string]Value {
+	if v.kind != KindMap {
+		return nil
+	}
+	return v.x.m
+}
+
+// word is the integer payload of INTEGER, DURATION, NODE and RELATIONSHIP;
+// 0 for BOOLEAN and FLOAT, whose word holds other data.
+func (v Value) word() int64 {
+	if v.kind == KindBool || v.kind == KindFloat {
+		return 0
+	}
+	return v.i
+}
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -125,37 +183,37 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; ok is false if v is not a BOOLEAN.
-func (v Value) AsBool() (b bool, ok bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (b bool, ok bool) { return v.b(), v.kind == KindBool }
 
 // AsInt returns the integer payload; ok is false if v is not an INTEGER.
-func (v Value) AsInt() (i int64, ok bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (i int64, ok bool) { return v.word(), v.kind == KindInt }
 
 // AsFloat returns the float payload; ok is false if v is not a FLOAT.
-func (v Value) AsFloat() (f float64, ok bool) { return v.f, v.kind == KindFloat }
+func (v Value) AsFloat() (f float64, ok bool) { return v.f(), v.kind == KindFloat }
 
 // AsString returns the string payload; ok is false if v is not a STRING.
 func (v Value) AsString() (s string, ok bool) { return v.s, v.kind == KindString }
 
 // AsDateTime returns the time payload; ok is false if v is not a DATETIME.
-func (v Value) AsDateTime() (t time.Time, ok bool) { return v.t, v.kind == KindDateTime }
+func (v Value) AsDateTime() (t time.Time, ok bool) { return v.t(), v.kind == KindDateTime }
 
 // AsDuration returns the duration payload; ok is false if v is not a DURATION.
 func (v Value) AsDuration() (d time.Duration, ok bool) {
-	return time.Duration(v.i), v.kind == KindDuration
+	return time.Duration(v.word()), v.kind == KindDuration
 }
 
 // AsList returns the list payload; ok is false if v is not a LIST. The
 // returned slice must not be mutated.
-func (v Value) AsList() (vs []Value, ok bool) { return v.list, v.kind == KindList }
+func (v Value) AsList() (vs []Value, ok bool) { return v.list(), v.kind == KindList }
 
 // AsMap returns the map payload; ok is false if v is not a MAP. The returned
 // map must not be mutated.
-func (v Value) AsMap() (m map[string]Value, ok bool) { return v.m, v.kind == KindMap }
+func (v Value) AsMap() (m map[string]Value, ok bool) { return v.m(), v.kind == KindMap }
 
 // EntityID returns the node or relationship identifier; ok is false if v is
 // not a NODE or RELATIONSHIP reference.
 func (v Value) EntityID() (id int64, ok bool) {
-	return v.i, v.kind == KindNode || v.kind == KindRelationship
+	return v.word(), v.kind == KindNode || v.kind == KindRelationship
 }
 
 // NumberAsFloat returns the numeric payload widened to float64; ok is false
@@ -165,7 +223,7 @@ func (v Value) NumberAsFloat() (f float64, ok bool) {
 	case KindInt:
 		return float64(v.i), true
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	default:
 		return 0, false
 	}
@@ -181,7 +239,7 @@ func (v Value) IsNumber() bool { return v.kind == KindInt || v.kind == KindFloat
 func (v Value) Truthy() (val bool, known bool) {
 	switch v.kind {
 	case KindBool:
-		return v.b, true
+		return v.b(), true
 	default:
 		return false, false
 	}
@@ -194,33 +252,34 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		if math.IsInf(v.f, 1) {
+		f := v.f()
+		if math.IsInf(f, 1) {
 			return "Infinity"
 		}
-		if math.IsInf(v.f, -1) {
+		if math.IsInf(f, -1) {
 			return "-Infinity"
 		}
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return strconv.FormatFloat(v.f, 'f', 1, 64)
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindDateTime:
-		return v.t.Format(time.RFC3339Nano)
+		return v.t().Format(time.RFC3339Nano)
 	case KindDuration:
 		return time.Duration(v.i).String()
 	case KindList:
 		var sb strings.Builder
 		sb.WriteByte('[')
-		for i, e := range v.list {
+		for i, e := range v.list() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -229,8 +288,8 @@ func (v Value) String() string {
 		sb.WriteByte(']')
 		return sb.String()
 	case KindMap:
-		keys := make([]string, 0, len(v.m))
-		for k := range v.m {
+		keys := make([]string, 0, len(v.m()))
+		for k := range v.m() {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
@@ -242,7 +301,7 @@ func (v Value) String() string {
 			}
 			sb.WriteString(k)
 			sb.WriteString(": ")
-			sb.WriteString(v.m[k].String())
+			sb.WriteString(v.m()[k].String())
 		}
 		sb.WriteByte('}')
 		return sb.String()
@@ -326,26 +385,26 @@ func (v Value) Go() any {
 	case KindNull:
 		return nil
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindInt:
 		return v.i
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindString:
 		return v.s
 	case KindDateTime:
-		return v.t
+		return v.t()
 	case KindDuration:
 		return time.Duration(v.i)
 	case KindList:
-		out := make([]any, len(v.list))
-		for i, e := range v.list {
+		out := make([]any, len(v.list()))
+		for i, e := range v.list() {
 			out[i] = e.Go()
 		}
 		return out
 	case KindMap:
-		out := make(map[string]any, len(v.m))
-		for k, e := range v.m {
+		out := make(map[string]any, len(v.m()))
+		for k, e := range v.m() {
 			out[k] = e.Go()
 		}
 		return out

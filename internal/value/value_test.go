@@ -175,7 +175,7 @@ func TestFromGoValuePassThrough(t *testing.T) {
 	if got := FromGo(uint32(9)); got.kind != KindInt || got.i != 9 {
 		t.Error("FromGo(uint32) failed")
 	}
-	if got := FromGo(float32(1.5)); got.kind != KindFloat || got.f != 1.5 {
+	if got := FromGo(float32(1.5)); got.kind != KindFloat || got.f() != 1.5 {
 		t.Error("FromGo(float32) failed")
 	}
 	type odd struct{}
